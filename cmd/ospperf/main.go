@@ -8,9 +8,7 @@
 // networked ingest path over an embedded server: JSON over HTTP, the
 // zero-allocation binary codec over HTTP, and the same binary frames
 // pipelined over the raw-TCP stream transport, across a striped
-// connection-count matrix (conns=1,2,4) plus a forced copying-decode
-// row that quantifies the server's zero-copy frame→batch ingest — and
-// the cluster scaling rows: the same workload fanned across N
+// connection-count matrix (conns=1,2,4) — and the cluster scaling rows: the same workload fanned across N
 // coordinator-fronted nodes by element hash and merged on drain.
 //
 // Usage:
@@ -152,10 +150,10 @@ type PolicyBench struct {
 // binary-HTTP row — the same codec, so it isolates the transport win.
 // Stream rows carry two extra columns: Conns is the striped
 // TCP-connection count (client.WithStreamConns; 0 or 1 is the single
-// connection), and Decode distinguishes the server's default zero-copy
-// frame→batch ingest ("zero-copy") from the forced copying decoder
-// ("copy", ospserve -stream-copy-decode) — the pair isolates the
-// in-place aliasing win at identical wire traffic.
+// connection), and Decode names the server's frame→batch ingest:
+// "zero-copy", frames aliased in place. Older reports also carry a
+// "copy" row from a since-retired forced copying-decoder server option;
+// -compare still keys it apart.
 type ServiceBench struct {
 	Codec            string  `json:"codec"`
 	Transport        string  `json:"transport"`
@@ -338,13 +336,11 @@ func run(args []string, w io.Writer) error {
 		rep.Service = append(rep.Service, sb)
 		printService(w, sb)
 	}
-	// Stream matrix: the striped connection counts, then the forced
-	// copying decoder at conns=1 — same wire traffic as the first row,
-	// so the pair isolates the server's zero-copy ingest win. On a
-	// single-core runner conns>1 cannot beat conns=1; CI gates the
-	// striping floor only on multi-core runners.
+	// Stream matrix: the striped connection counts. On a single-core
+	// runner conns>1 cannot beat conns=1; CI gates the striping floor
+	// only on multi-core runners.
 	for _, conns := range []int{1, 2, 4} {
-		sb, err := benchServiceStream(inst, svcBatch, *reps, *seed, conns, false)
+		sb, err := benchServiceStream(inst, svcBatch, *reps, *seed, conns)
 		if err != nil {
 			return err
 		}
@@ -357,19 +353,6 @@ func run(args []string, w io.Writer) error {
 		rep.Service = append(rep.Service, sb)
 		printService(w, sb)
 	}
-	sb, err := benchServiceStream(inst, svcBatch, *reps, *seed, 1, true)
-	if err != nil {
-		return err
-	}
-	if jsonRate > 0 {
-		sb.SpeedupVsJSON = sb.ElementsPerSec / jsonRate
-	}
-	if binRate > 0 {
-		sb.SpeedupVsBinary = sb.ElementsPerSec / binRate
-	}
-	rep.Service = append(rep.Service, sb)
-	printService(w, sb)
-
 	clusterSizes := []int{1, 2}
 	if !*quick {
 		clusterSizes = append(clusterSizes, 4)
@@ -950,13 +933,11 @@ func benchService(inst *setsystem.Instance, codec client.Codec, batch, reps int,
 // pipelined frames over conns long-lived striped TCP connections
 // (depth 8 in flight overall) and verdicts come back as in-order frames
 // decoded in place — no request envelope, no response materialization.
-// copyDecode forces the server's copying frame decoder (the "before" of
-// the zero-copy comparison; the default server path aliases each frame's
-// payload in place). Registration and drain stay on the HTTP API,
+// The server aliases each frame's payload in place. Registration and drain stay on the HTTP API,
 // outside the timed ingest loop's hot path but inside the pass (same as
 // the HTTP rows, so the comparison is like for like).
-func benchServiceStream(inst *setsystem.Instance, batch, reps int, seed int64, conns int, copyDecode bool) (ServiceBench, error) {
-	srv := osp.NewServer(osp.ServerConfig{StreamCopyDecode: copyDecode})
+func benchServiceStream(inst *setsystem.Instance, batch, reps int, seed int64, conns int) (ServiceBench, error) {
+	srv := osp.NewServer(osp.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return ServiceBench{}, err
@@ -1061,16 +1042,12 @@ func benchServiceStream(inst *setsystem.Instance, batch, reps int, seed int64, c
 		return ServiceBench{}, passErr
 	}
 
-	decode := "zero-copy"
-	if copyDecode {
-		decode = "copy"
-	}
 	n := inst.NumElements()
 	return ServiceBench{
 		Codec:            "binary",
 		Transport:        "stream",
 		Conns:            conns,
-		Decode:           decode,
+		Decode:           "zero-copy",
 		Elements:         n,
 		Batch:            batch,
 		NsPerElement:     float64(ns) / float64(n),

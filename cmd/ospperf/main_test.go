@@ -88,16 +88,14 @@ func TestQuickMatrix(t *testing.T) {
 	}
 
 	// Service rows: json and binary over HTTP, then the stream matrix —
-	// striped connection counts 1/2/4 and the forced copying-decode row
-	// that anchors the zero-copy comparison.
-	if len(rep.Service) != 6 ||
+	// striped connection counts 1/2/4.
+	if len(rep.Service) != 5 ||
 		rep.Service[0].Codec != "json" || rep.Service[0].Transport != "http" ||
 		rep.Service[1].Codec != "binary" || rep.Service[1].Transport != "http" ||
 		rep.Service[2].Transport != "stream" || rep.Service[2].Conns != 1 || rep.Service[2].Decode != "zero-copy" ||
 		rep.Service[3].Transport != "stream" || rep.Service[3].Conns != 2 || rep.Service[3].Decode != "zero-copy" ||
-		rep.Service[4].Transport != "stream" || rep.Service[4].Conns != 4 || rep.Service[4].Decode != "zero-copy" ||
-		rep.Service[5].Transport != "stream" || rep.Service[5].Conns != 1 || rep.Service[5].Decode != "copy" {
-		t.Fatalf("service rows = %+v, want [json/http binary/http stream/conns=1,2,4 stream/copy]", rep.Service)
+		rep.Service[4].Transport != "stream" || rep.Service[4].Conns != 4 || rep.Service[4].Decode != "zero-copy" {
+		t.Fatalf("service rows = %+v, want [json/http binary/http stream/conns=1,2,4]", rep.Service)
 	}
 	for _, sb := range rep.Service {
 		if sb.ElementsPerSec <= 0 || sb.NsPerElement <= 0 {
@@ -112,7 +110,7 @@ func TestQuickMatrix(t *testing.T) {
 	if sp := rep.Service[2].SpeedupVsBinary; sp <= 1 {
 		t.Errorf("stream service path is %.2fx binary-HTTP, want > 1x", sp)
 	}
-	for _, i := range []int{2, 3, 4, 5} {
+	for _, i := range []int{2, 3, 4} {
 		if a := rep.Service[i].AllocsPerElement; a > 0.1 {
 			t.Errorf("stream service row %d allocates %.3f/element process-wide, want <= 0.1", i, a)
 		}

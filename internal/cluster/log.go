@@ -106,10 +106,27 @@ func OpenLog(path string, opts ...LogOption) (*Log, error) {
 // readEntries parses a JSONL registration log, returning the entries,
 // the byte offset just past the last well-formed line, and the number
 // of malformed tail lines dropped (0 or 1 — anything malformed before
-// the final line is still a hard error).
+// the final line is still a hard error). A final line without its
+// newline counts as malformed even when its JSON is complete: Append
+// writes entry and newline in one write, so such a line is a crashed,
+// unacknowledged append, and keeping it would glue the next Append onto
+// it.
 func readEntries(r io.Reader) (entries []LogEntry, keep int64, truncated int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	// adv is the byte length of the line just scanned, terminator (and
+	// any CR) included; terminated reports whether it ended in '\n'.
+	var (
+		adv        int
+		terminated bool
+	)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		n, tok, err := bufio.ScanLines(data, atEOF)
+		if tok != nil {
+			adv, terminated = n, data[n-1] == '\n'
+		}
+		return n, tok, err
+	})
 	var (
 		line    int
 		badLine int // 1-based index of the first malformed line seen
@@ -123,8 +140,12 @@ func readEntries(r io.Reader) (entries []LogEntry, keep int64, truncated int, er
 			// not a crashed append.
 			return nil, 0, 0, fmt.Errorf("cluster: registration log line %d: %w", badLine, badErr)
 		}
+		if !terminated {
+			badLine, badErr = line, errors.New("unterminated final line")
+			continue
+		}
 		if len(raw) == 0 {
-			keep += 1 // the newline itself
+			keep += int64(adv)
 			continue
 		}
 		var e LogEntry
@@ -133,7 +154,7 @@ func readEntries(r io.Reader) (entries []LogEntry, keep int64, truncated int, er
 			continue
 		}
 		entries = append(entries, e)
-		keep += int64(len(raw)) + 1
+		keep += int64(adv)
 	}
 	if serr := sc.Err(); serr != nil {
 		return nil, 0, 0, fmt.Errorf("cluster: read registration log: %w", serr)

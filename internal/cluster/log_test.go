@@ -86,6 +86,59 @@ func TestOpenLogToleratesTruncatedTail(t *testing.T) {
 	}
 }
 
+// A crash can also cut an append just before its newline, leaving a
+// complete JSON entry unterminated. That entry was never acknowledged:
+// replay drops it like any partial tail, and the next Append starts on a
+// clean line instead of gluing onto it.
+func TestOpenLogUnterminatedTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reg.jsonl")
+	lg, err := cluster.OpenLog(path)
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	for _, id := range []string{"c-0", "c-1"} {
+		if err := lg.Append(cluster.LogEntry{ID: id, Weights: []float64{1}, Sizes: []int{1}}); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read log: %v", err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
+		t.Fatalf("chop newline: %v", err)
+	}
+
+	lg2, err := cluster.OpenLog(path)
+	if err != nil {
+		t.Fatalf("OpenLog after a cut newline: %v", err)
+	}
+	if got, tail := lg2.Len(), lg2.TruncatedTail(); got != 1 || tail != 1 {
+		t.Fatalf("Len = %d, TruncatedTail = %d; want 1, 1", got, tail)
+	}
+	if err := lg2.Append(cluster.LogEntry{ID: "c-9", Weights: []float64{1}, Sizes: []int{1}}); err != nil {
+		t.Fatalf("Append after recovery: %v", err)
+	}
+	if err := lg2.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	lg3, err := cluster.OpenLog(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer lg3.Close()
+	var ids []string
+	for _, e := range lg3.Entries() {
+		ids = append(ids, e.ID)
+	}
+	if strings.Join(ids, ",") != "c-0,c-9" || lg3.TruncatedTail() != 0 {
+		t.Fatalf("entries after recovery = %v (truncated %d), want [c-0 c-9] and a clean tail", ids, lg3.TruncatedTail())
+	}
+}
+
 // Corruption in the MIDDLE of the log is not a crashed append — it must
 // still fail the replay loudly.
 func TestOpenLogRejectsInteriorCorruption(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 //
 //   - Setup is a pure function of (Info, seed): given the same up-front
 //     information and the same 64-bit seed it must build identical state,
-//     so every replica — shard workers, verdict handlers, remote mirrors,
+//     so every replica — shard workers, restored or remote mirrors,
 //     the serial oracle — agrees on every decision with zero coordination.
 //     Deterministic policies simply ignore the seed.
 //   - Decide is a pure function of (element, frozen state): it may not
@@ -39,7 +39,7 @@ type PolicyState interface {
 	// own the members storage (the engine's flat batch buffers).
 	DecideInPlace(members []setsystem.SetID, capacity int) []setsystem.SetID
 	// Decide is DecideInPlace for callers that must not have members
-	// reordered (verdict handlers deciding on request buffers). The result
+	// reordered (the serial runner, deciding on instance storage). The result
 	// reuses buf's storage when possible.
 	Decide(members []setsystem.SetID, capacity int, buf []setsystem.SetID) []setsystem.SetID
 }

@@ -160,10 +160,9 @@ type Batch struct {
 	// against the element's pre-decide member order, exactly the bits
 	// wire.AppendVerdictMask produces — and, after the batch's counters
 	// are published, invokes Done(Seq, Masks) on the shard goroutine.
-	// This is what lets a transport answer verdicts from the engine's one
-	// decide instead of running a second replica decide per element the
-	// way the HTTP handler does. The callback must not block (shards
-	// share connections); hand the masks to a buffered channel. Ownership
+	// This is what lets every ingest transport answer verdicts from the
+	// engine's one decide per element. The callback must not block
+	// (shards share connections); hand the masks to a buffered channel. Ownership
 	// of the Masks buffer passes back to the caller at the callback; the
 	// batch itself is recycled before Done runs and must not be touched.
 	Seq   uint32
@@ -225,8 +224,7 @@ func (b *Batch) Reset() {
 // Validate checks every batched element against a universe of numSets
 // sets — the flat-layout mirror of setsystem.CheckElement, wrapping the
 // same error values. Batch-ingestion layers call it once after filling a
-// borrowed batch from the wire; SubmitBatch then trusts the contents the
-// way SubmitValidated does.
+// borrowed batch from the wire; SubmitBatch then trusts the contents.
 func (b *Batch) Validate(numSets int) error {
 	n := b.Len()
 	if len(b.Offs) != n+1 || b.Offs[0] != 0 || int(b.Offs[n]) != len(b.Members) {
@@ -271,7 +269,7 @@ type Engine struct {
 	shards  []*shard
 	wg      sync.WaitGroup
 	batch   *Batch
-	next    int         // round-robin shard cursor
+	lane    Lane        // lane 0: the single submitter's round-robin cursor
 	free    chan *Batch // recycled batches; pre-filled so steady state never allocates
 	metrics Metrics
 	state   atomic.Int32 // State; written by the submitter, read by anyone
@@ -331,6 +329,7 @@ func NewWithPolicy(info core.Info, pol core.Policy, seed uint64, cfg Config) (*E
 		shards:  make([]*shard, cfg.Shards),
 		batch:   new(Batch),
 	}
+	e.lane.e = e
 	// Hot-path devirtualization: every built-in except first-fit decides
 	// through a *core.VectorState. Pinning the concrete type here lets the
 	// shard loop call its DecideInPlace directly — a static, inlinable
@@ -527,56 +526,31 @@ func (e *Engine) ReturnBatch(b *Batch) {
 // skipping the per-element copy Submit does: the wire bytes were decoded
 // straight into this batch's buffers and ownership now passes to the
 // engine. The caller must have validated the contents with
-// Batch.Validate (SubmitBatch trusts them the way SubmitValidated does)
-// and must not touch the batch afterwards, whatever the outcome — on
-// error the batch is returned to the free list internally. Like Submit,
-// it blocks when the target shard's queue is full (backpressure), and it
-// must be called from the same single submitter goroutine.
+// Batch.Validate (SubmitBatch trusts them) and must not touch the batch
+// afterwards, whatever the outcome — on error the batch is returned to
+// the free list internally. Like Submit, it blocks when the target
+// shard's queue is full (backpressure), and it must be called from the
+// same single submitter goroutine: it is the engine's own lane 0, the
+// cursor Submit's batches flush through.
 //
 // Batch sizing is the caller's: a wire batch is not re-split to
 // Config.BatchSize, it reaches one shard as one unit. Round-robin over
 // wire batches keeps shards balanced exactly as flush does.
-func (e *Engine) SubmitBatch(b *Batch) error {
-	st := State(e.state.Load())
-	if st == StateDrained {
-		e.ReturnBatch(b)
-		return ErrDrained
-	}
-	n := b.Len()
-	if n == 0 {
-		e.ReturnBatch(b)
-		return nil
-	}
-	if len(b.Offs) != n+1 || b.Offs[0] != 0 || int(b.Offs[n]) != len(b.Members) {
-		e.ReturnBatch(b)
-		return fmt.Errorf("engine: malformed batch: %d caps, %d offs over %d members", n, len(b.Offs), len(b.Members))
-	}
-	if st == StateIdle {
-		e.state.Store(int32(StateStreaming))
-	}
-	b.base = e.metrics.submitted.Add(uint64(n)) - uint64(n)
-	if e.tel != nil {
-		b.enq = time.Now()
-	}
-	e.shards[e.next].in <- b
-	e.next = (e.next + 1) % len(e.shards)
-	return nil
-}
+func (e *Engine) SubmitBatch(b *Batch) error { return e.lane.SubmitBatch(b) }
 
-// Lane is an independent batch submitter: where SubmitBatch shares the
-// engine's single round-robin cursor (and therefore its single-submitter
-// contract), each Lane carries a private cursor seeded at a different
-// shard, so N concurrent transport connections can submit shard-affine
-// in parallel — no shared cursor, no lock, and no two lanes hammering
-// the same shard channel in lockstep. Everything else a submission
-// touches is already concurrency-safe (channel sends, atomic metrics
-// and state).
+// Lane is an independent batch submitter: each Lane carries a private
+// round-robin cursor seeded at a different shard, so N concurrent
+// transport connections can submit shard-affine in parallel — no shared
+// cursor, no lock, and no two lanes hammering the same shard channel in
+// lockstep. Everything else a submission touches is already
+// concurrency-safe (channel sends, atomic metrics and state). The
+// engine's single-submitter paths (Submit, SubmitBatch) are lane 0.
 //
-// Lanes may run concurrently with each other and with the mutex-held
-// Submit/SubmitBatch paths, but never with Drain: the caller must fence
-// lane submissions against drain (internal/serve does it with an
-// RWMutex — lanes share the read side, Drain takes the write side),
-// because Drain closes the shard channels a lane submits into.
+// Lanes may run concurrently with each other and with the single
+// submitter, but never with Drain: the caller must fence lane
+// submissions against drain (internal/serve does it with an RWMutex —
+// lanes share the read side, Drain takes the write side), because Drain
+// closes the shard channels a lane submits into.
 type Lane struct {
 	e    *Engine
 	next int
@@ -593,9 +567,10 @@ func (e *Engine) Lane(i int) *Lane {
 	return &Lane{e: e, next: i % len(e.shards)}
 }
 
-// SubmitBatch is Engine.SubmitBatch on this lane's private cursor. The
-// batch's shape must already be valid (Batch.Validate); ownership
-// passes to the engine whatever the outcome.
+// SubmitBatch hands a borrowed (or aliased), filled batch to the lane's
+// next shard; see Engine.SubmitBatch for the contract. The batch's shape
+// must already be valid (Batch.Validate); ownership passes to the engine
+// whatever the outcome.
 func (l *Lane) SubmitBatch(b *Batch) error {
 	e := l.e
 	st := State(e.state.Load())
@@ -615,13 +590,22 @@ func (l *Lane) SubmitBatch(b *Batch) error {
 	if st == StateIdle {
 		e.state.Store(int32(StateStreaming))
 	}
-	b.base = e.metrics.submitted.Add(uint64(n)) - uint64(n)
+	l.send(b)
+	return nil
+}
+
+// send hands a non-empty batch to the lane's next shard round-robin,
+// publishing its element count to the submitted counter — one atomic
+// update per batch, not per element.
+func (l *Lane) send(b *Batch) {
+	e := l.e
+	n := uint64(b.Len())
+	b.base = e.metrics.submitted.Add(n) - n
 	if e.tel != nil {
 		b.enq = time.Now()
 	}
 	e.shards[l.next].in <- b
 	l.next = (l.next + 1) % len(e.shards)
-	return nil
 }
 
 // Submit offers one arriving element to the stream. It validates the
@@ -638,28 +622,6 @@ func (e *Engine) Submit(el setsystem.Element) error {
 	if err := setsystem.CheckElement(el, e.info.NumSets()); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	e.ingest(el, st)
-	return nil
-}
-
-// SubmitValidated is Submit for callers that have already validated the
-// element with setsystem.CheckElement against this engine's universe —
-// batch-ingestion layers that validate a whole batch up front for
-// atomicity and must not pay the per-member scan twice. Submitting an
-// element that would fail CheckElement is undefined behavior (out-of-
-// range members corrupt shard counters or panic).
-func (e *Engine) SubmitValidated(el setsystem.Element) error {
-	st := State(e.state.Load())
-	if st == StateDrained {
-		return ErrDrained
-	}
-	e.ingest(el, st)
-	return nil
-}
-
-// ingest appends one validated element to the current batch, advancing
-// the lifecycle out of idle and flushing full batches.
-func (e *Engine) ingest(el setsystem.Element, st State) {
 	if st == StateIdle {
 		e.state.Store(int32(StateStreaming))
 	}
@@ -667,22 +629,16 @@ func (e *Engine) ingest(el setsystem.Element, st State) {
 	if e.batch.Len() >= e.cfg.BatchSize {
 		e.flush()
 	}
+	return nil
 }
 
-// flush hands the current batch to the next shard round-robin, publishing
-// the batch's element count to the submitted counter — one atomic update
-// per batch, not per element.
+// flush hands the current batch, if non-empty, to the next shard on
+// lane 0 and starts a fresh one.
 func (e *Engine) flush() {
-	n := e.batch.Len()
-	if n == 0 {
+	if e.batch.Len() == 0 {
 		return
 	}
-	e.batch.base = e.metrics.submitted.Add(uint64(n)) - uint64(n)
-	if e.tel != nil {
-		e.batch.enq = time.Now()
-	}
-	e.shards[e.next].in <- e.batch
-	e.next = (e.next + 1) % len(e.shards)
+	e.lane.send(e.batch)
 	e.batch = e.getBatch()
 }
 
@@ -730,11 +686,11 @@ func (e *Engine) Drain() (*core.Result, error) {
 func (e *Engine) State() State { return State(e.state.Load()) }
 
 // Policy returns the engine's frozen policy state. It is read-only after
-// New and safe for concurrent use. Replicas (HTTP handlers answering
-// immediate admit/drop verdicts, remote mirrors running the same policy
-// and seed) can decide any element with its Decide method and agree
-// element-for-element with the engine's shards, with zero coordination
-// (Section 3.1, generalized by the policy contract).
+// New and safe for concurrent use. A replica running the same policy and
+// seed decides any element exactly as the engine's shards do, with zero
+// coordination (Section 3.1, generalized by the policy contract); the
+// engine's own verdicts reach callers through Batch.Done, so no serving
+// path decides an element twice.
 func (e *Engine) Policy() core.PolicyState { return e.decider }
 
 // PolicyName returns the resolved registry name of the engine's policy

@@ -200,8 +200,7 @@ func TestLifecycleStates(t *testing.T) {
 // TestPolicyStateSharedWithSerial pins the Policy accessor: deciding an
 // element with the engine's frozen policy state reproduces the serial
 // replica's decision (core.SelectTopPriority over independently derived
-// priorities), which is what the HTTP layer's immediate verdicts depend
-// on.
+// priorities).
 func TestPolicyStateSharedWithSerial(t *testing.T) {
 	info := core.Info{Weights: []float64{1, 2, 3}, Sizes: []int{1, 1, 1}}
 	e, err := New(info, 7, Config{Shards: 1})
@@ -224,39 +223,6 @@ func TestPolicyStateSharedWithSerial(t *testing.T) {
 			t.Errorf("Decide chose %v, serial replica chose %v", got, want)
 			break
 		}
-	}
-}
-
-// TestSubmitValidatedMatchesSubmit pins the pre-validated fast path: a
-// stream fed through SubmitValidated produces the same result as Submit,
-// honors the lifecycle, and still refuses a drained stream.
-func TestSubmitValidatedMatchesSubmit(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	inst, err := workload.Uniform(workload.UniformConfig{M: 30, N: 1500, Load: 4, Capacity: 2}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := serial(t, inst, 13)
-
-	e, err := New(core.InfoOf(inst), 13, Config{Shards: 3, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, el := range inst.Elements {
-		if err := e.SubmitValidated(el); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := e.State(); got != StateStreaming {
-		t.Errorf("state mid-stream = %v, want streaming", got)
-	}
-	got, err := e.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEquivalent(t, got, want, "SubmitValidated")
-	if err := e.SubmitValidated(inst.Elements[0]); err != ErrDrained {
-		t.Errorf("SubmitValidated after Drain = %v, want ErrDrained", err)
 	}
 }
 

@@ -65,13 +65,6 @@ type WireElement struct {
 	Capacity int               `json:"capacity"`
 }
 
-// element converts to the engine's element type. The slice is shared, not
-// copied — the engine bulk-copies members at Submit, so the request body's
-// backing storage is never retained.
-func (e WireElement) element() setsystem.Element {
-	return setsystem.Element{Members: e.Members, Capacity: e.Capacity}
-}
-
 // IngestRequest is the body of POST /v1/instances/{id}/elements: a batch
 // of elements in arrival order. The batch is atomic — if any element is
 // invalid the whole batch is rejected and nothing is ingested.

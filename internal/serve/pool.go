@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/setsystem"
 )
 
 // Errors reported by the pool.
@@ -36,19 +35,18 @@ type Spec struct {
 	Label  string
 }
 
-// Instance is one registered set system and its live engine. The engine's
-// Submit/Drain contract is single-goroutine; Instance serializes
-// concurrent HTTP handlers onto that contract with a mutex, while verdict
-// computation — a pure function of the element and the fixed priority
-// vector — stays outside the lock.
+// Instance is one registered set system and its live engine. Every
+// ingest arm — a JSON or binary HTTP request, a stream connection —
+// submits through its own engine lane (newLane) under the read side of
+// rw, so concurrent arms share no lock on the hot path; Drain and Export
+// take the write side. Verdicts come from the deciding shard itself
+// (engine.Batch.Done): each element is decided exactly once.
 type Instance struct {
 	id    string
 	label string
 	seed  uint64
 	info  core.Info
-
-	mu  sync.Mutex // serializes Submit/Drain on the engine
-	eng *engine.Engine
+	eng   *engine.Engine
 
 	// final marks a drain requested by a client (POST .../drain, DELETE)
 	// as opposed to the indiscriminate engine drain a graceful shutdown
@@ -58,11 +56,15 @@ type Instance struct {
 	// streaming, ready for the rest of the stream).
 	final atomic.Bool
 
-	// rw fences lane submissions against Drain: every IngestLane submit
-	// holds the read side, Drain takes the write side (after mu), so
-	// concurrent stream connections ingest in parallel — no shared lock
-	// on the hot path — yet can never race the engine's channel close.
-	// Lock order is mu before rw; lanes never touch mu.
+	// lanes counts the lanes handed out; it seeds each new lane's shard
+	// cursor so concurrent arms spread across shards from their first
+	// batch.
+	lanes atomic.Uint32
+
+	// rw fences lane submissions against the engine-wide operations:
+	// every submit holds the read side, Drain and Export take the write
+	// side, so concurrent arms ingest in parallel yet can never race the
+	// engine's channel close or a checkpoint's quiesce point.
 	rw sync.RWMutex
 }
 
@@ -105,71 +107,10 @@ func (in *Instance) Status() InstanceStatus {
 	}
 }
 
-// Validate checks a batch without ingesting anything, returning the index
-// and cause of the first invalid element. Ingest batches are atomic:
-// handlers validate the whole batch up front so a malformed element
-// rejects the batch before any sibling is submitted.
-func (in *Instance) Validate(els []setsystem.Element) error {
-	m := in.info.NumSets()
-	for i, el := range els {
-		if err := setsystem.CheckElement(el, m); err != nil {
-			return fmt.Errorf("element %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Ingest submits a batch the caller has already passed through Validate
-// to the engine in order, blocking on engine backpressure when shard
-// queues are full. The engine's SubmitValidated path skips the second
-// per-member validation scan. It returns engine.ErrDrained if the
-// stream was already closed.
-func (in *Instance) Ingest(els []setsystem.Element) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, el := range els {
-		if err := in.eng.SubmitValidated(el); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// IngestBatch submits one borrowed, filled and validated engine batch —
-// the binary wire path's zero-copy unit — serialized onto the engine's
-// single-submitter contract like Ingest. Ownership of the batch passes
-// to the engine whatever the outcome.
-func (in *Instance) IngestBatch(b *engine.Batch) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.eng.SubmitBatch(b)
-}
-
-// IngestLane is a per-connection batch submitter: each stream
-// connection gets its own lane (engine.Lane semantics — a private
-// shard round-robin cursor), so N connections ingesting into one
-// instance contend on nothing but the shard queues themselves. The
-// instance's RWMutex read side fences every submit against Drain.
-type IngestLane struct {
-	in   *Instance
-	lane *engine.Lane
-}
-
-// IngestLane returns a lane whose shard round-robin starts at i mod
-// NumShards — hand each connection a distinct index so concurrent
-// connections spread across shards from their first batch.
-func (in *Instance) IngestLane(i int) *IngestLane {
-	return &IngestLane{in: in, lane: in.eng.Lane(i)}
-}
-
-// IngestBatch submits one borrowed (or aliased), filled and validated
-// engine batch on this lane. Ownership of the batch passes to the
-// engine whatever the outcome, exactly as Instance.IngestBatch.
-func (l *IngestLane) IngestBatch(b *engine.Batch) error {
-	l.in.rw.RLock()
-	defer l.in.rw.RUnlock()
-	return l.lane.SubmitBatch(b)
-}
+// newLane returns a fresh engine lane for one ingest arm (a request or
+// a stream connection); consecutive lanes start their round-robins on
+// consecutive shards.
+func (in *Instance) newLane() *engine.Lane { return in.eng.Lane(int(in.lanes.Add(1))) }
 
 // MarkFinal records that the instance's stream was closed by a client
 // request rather than by shutdown. Called by the drain/remove handlers
@@ -181,50 +122,13 @@ func (in *Instance) Final() bool { return in.final.Load() }
 
 // Drain closes the instance's stream and returns the final result,
 // bit-for-bit identical to a serial HashRandPr run under the same seed.
-// Idempotent. It excludes the mutex-serialized HTTP paths via mu and
-// every stream lane via the write side of rw: a lane submit in flight
-// completes (shard workers keep consuming until the engine closes
-// their queues), then the drain proceeds.
+// Idempotent. It takes the write side of rw: a lane submit in flight
+// completes (shard workers keep consuming until the engine closes their
+// queues), then the drain proceeds.
 func (in *Instance) Drain() (*core.Result, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.rw.Lock()
 	defer in.rw.Unlock()
 	return in.eng.Drain()
-}
-
-// Verdicts computes the immediate admit/drop verdict for every element of
-// a batch: the engine's shards will reach — or have reached — exactly the
-// same decisions, because every policy's decide rule depends only on the
-// element and the frozen per-instance policy state (Section 3.1,
-// generalized by the policy contract). The computation is pure and runs
-// outside the instance lock, so concurrent verdict requests never contend
-// with ingestion.
-func (in *Instance) Verdicts(els []setsystem.Element) []Verdict {
-	dec := in.eng.Policy()
-	verdicts := make([]Verdict, len(els))
-	var buf []setsystem.SetID
-	for i, el := range els {
-		buf = dec.Decide(el.Members, el.Capacity, buf)
-		admitted := append([]setsystem.SetID(nil), buf...)
-		verdicts[i] = Verdict{Admitted: admitted, Dropped: droppedOf(el.Members, admitted)}
-	}
-	return verdicts
-}
-
-// droppedOf returns members \ admitted. Both inputs are in ascending
-// SetID order, so a single merge pass suffices.
-func droppedOf(members, admitted []setsystem.SetID) []setsystem.SetID {
-	dropped := make([]setsystem.SetID, 0, len(members)-len(admitted))
-	j := 0
-	for _, s := range members {
-		if j < len(admitted) && admitted[j] == s {
-			j++
-			continue
-		}
-		dropped = append(dropped, s)
-	}
-	return dropped
 }
 
 // Pool owns every registered instance: registration, lookup, removal, and

@@ -64,6 +64,7 @@ func TestPoolGracefulShutdownUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(st stream) {
 			defer wg.Done()
+			lane := st.in.newLane()
 			// Loop the workload until shutdown cuts us off.
 			for i := 0; ; i = (i + 1) % len(inst.Elements) {
 				select {
@@ -71,7 +72,13 @@ func TestPoolGracefulShutdownUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				err := st.in.Ingest(inst.Elements[i : i+1])
+				el := inst.Elements[i]
+				b := st.in.eng.BorrowBatch()
+				if err := fillElements(b, []WireElement{{Members: el.Members, Capacity: el.Capacity}}); err != nil {
+					t.Errorf("fill: %v", err)
+					return
+				}
+				err := st.in.ingest(lane, b, nil, time.Time{})
 				if errors.Is(err, engine.ErrDrained) {
 					return // shutdown won the race — the expected exit
 				}

@@ -15,7 +15,7 @@
 //	GET    /v1/instances/{id}            one instance's status
 //	POST   /v1/instances/{id}/elements   batched element ingest → admit/drop verdicts
 //	                                     (JSON, or the zero-allocation binary codec
-//	                                     negotiated via Content-Type — see binary.go)
+//	                                     chosen by Content-Type — see ingest.go)
 //	POST   /v1/instances/{id}/snapshot   quiesce → snapshot frame of the
 //	                                     instance's recoverable state (persisted
 //	                                     to -snapshot-dir when configured)
@@ -30,15 +30,12 @@
 //	GET    /healthz                      liveness probe
 //	GET    /debug/pprof/                 net/http/pprof (only with Config.EnablePprof)
 //
-// Verdicts are computed synchronously in the handler from the engine's
-// shared priority vector — the same pure decision rule the shards apply —
-// while the engine itself ingests the batch asynchronously behind bounded
-// queues. The two never disagree: the faithful randPr decision depends
-// only on the element and the fixed hash-derived priorities (Section
-// 3.1), never on run state, so handler and shard are just two replicas of
-// the same coordination-free rule. Backpressure therefore reaches the
-// client naturally — when shard queues are full, the ingest handler
-// blocks before answering.
+// Every ingest arm — JSON, the binary codec, the raw-TCP stream — fills
+// an engine batch and submits it through one ingest core (ingest.go);
+// the verdicts come back from the engine shard that decides the batch,
+// so each element is decided exactly once. The engine ingests behind
+// bounded queues, and backpressure reaches the client naturally: when
+// shard queues are full, the submit blocks before the answer goes out.
 package serve
 
 import (
@@ -57,7 +54,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/setsystem"
 	"repro/internal/wire"
 )
 
@@ -89,14 +85,6 @@ type Config struct {
 	// connection may have in flight. Each slot costs one pooled verdict
 	// buffer per connection. 0 means 32; values above 1024 are clamped.
 	StreamWindow int
-	// StreamCopyDecode forces the stream arm onto the copying batch
-	// decoder (wire.DecodeBatch into engine free-list buffers) instead
-	// of the default zero-copy path that aliases caps/members straight
-	// out of the connection's receive slots. The two decoders are pinned
-	// byte-for-byte equivalent; this switch exists for A/B benchmarking
-	// and as an escape hatch. The copying path also engages on its own
-	// whenever a frame cannot be aliased (foreign byte order).
-	StreamCopyDecode bool
 	// StreamTimings records per-batch decode latency into the
 	// osp_stream_decode histogram. Off by default: the two time.Now
 	// stamps per frame are measurable at stream rates (the other stage
@@ -359,72 +347,6 @@ func (s *Server) instance(w http.ResponseWriter, r *http.Request) (*Instance, bo
 		return nil, false
 	}
 	return in, true
-}
-
-// handleIngest streams one batch: POST /v1/instances/{id}/elements.
-// Batches are atomic: every element is validated before any is submitted,
-// so a malformed batch changes nothing. On success the response carries
-// the immediate admit/drop verdict of every element.
-//
-// The wire codec is negotiated per request by Content-Type:
-// application/x-osp-batch takes the zero-allocation binary path
-// (handleIngestBinary, answered with application/x-osp-verdicts); any
-// other content type decodes as the JSON shapes below, byte-for-byte
-// compatible with pre-binary servers and clients.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	in, ok := s.instance(w, r)
-	if !ok {
-		return
-	}
-	if s.pool.Closed() {
-		writeError(w, http.StatusServiceUnavailable, "%v", ErrPoolClosed)
-		return
-	}
-	if isBinaryBatch(r) {
-		s.handleIngestBinary(w, r, in)
-		return
-	}
-	decodeStart := time.Now()
-	var req IngestRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Elements) == 0 {
-		writeError(w, http.StatusBadRequest, "ingest: empty batch")
-		return
-	}
-	if len(req.Elements) > s.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, "ingest: batch of %d exceeds limit %d", len(req.Elements), s.cfg.MaxBatch)
-		return
-	}
-	els := make([]setsystem.Element, len(req.Elements))
-	for i, we := range req.Elements {
-		els[i] = we.element()
-	}
-	if err := in.Validate(els); err != nil {
-		writeError(w, http.StatusBadRequest, "ingest: %v", err)
-		return
-	}
-	s.obs.ingestDecode.Observe(time.Since(decodeStart))
-	if err := in.Ingest(els); err != nil {
-		if errors.Is(err, engine.ErrDrained) {
-			// Distinguish a client-drained instance (terminal, 409) from
-			// a drain forced by graceful shutdown racing this request
-			// (retryable elsewhere, 503 as documented).
-			if s.pool.Closed() {
-				writeError(w, http.StatusServiceUnavailable, "%v", ErrPoolClosed)
-				return
-			}
-			writeError(w, http.StatusConflict, "ingest: instance %s is already drained", in.ID())
-			return
-		}
-		writeError(w, http.StatusBadRequest, "ingest: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, IngestResponse{
-		Verdicts: in.Verdicts(els),
-		Ingested: len(els),
-	})
 }
 
 // handleDrain closes a stream: POST /v1/instances/{id}/drain.

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashpr"
 	"repro/internal/setsystem"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -174,6 +175,12 @@ func TestIngestMalformedBatches(t *testing.T) {
 		{"no members", `{"elements": [{"members": [], "capacity": 1}]}`},
 		{"zero capacity", `{"elements": [{"members": [0], "capacity": 0}]}`},
 		{"capacity over int32", `{"elements": [{"members": [0], "capacity": 4294967296}]}`},
+		// The JSON arm narrows capacity into the batch's int32 Caps, so
+		// these must be rejected before narrowing: 2^31 would turn
+		// negative, and 2^32+1 and 1-2^32 would wrap to a valid 1.
+		{"capacity 2^31", `{"elements": [{"members": [0], "capacity": 2147483648}]}`},
+		{"capacity wraps to 1", `{"elements": [{"members": [0], "capacity": 4294967297}]}`},
+		{"negative capacity wraps to 1", `{"elements": [{"members": [0], "capacity": -4294967295}]}`},
 		{"out of range", `{"elements": [{"members": [7], "capacity": 1}]}`},
 		{"unsorted members", `{"elements": [{"members": [1,0], "capacity": 1}]}`},
 		{"bad sibling poisons batch", `{"elements": [{"members": [0], "capacity": 1}, {"members": [9], "capacity": 1}]}`},
@@ -369,6 +376,68 @@ func TestConcurrentInstances(t *testing.T) {
 	do(t, s, "GET", "/v1/instances", nil, &list)
 	if len(list.Instances) != workers {
 		t.Errorf("list has %d instances, want %d", len(list.Instances), workers)
+	}
+}
+
+// TestConcurrentIngestOneInstance drives JSON and binary requests into
+// ONE instance from several goroutines at once. Each request submits on
+// its own lane with no per-instance lock, so the verdicts must still
+// match the policy's pure decision and the drain must equal the serial
+// oracle: assignment counts commute across any interleaving.
+func TestConcurrentIngestOneInstance(t *testing.T) {
+	const seed, workers, batch = 29, 4, 40
+	inst := uniformInst(t, 40, 2400, 4, 6)
+	s := New(Config{})
+	defer s.Shutdown(t.Context())
+	id := register(t, s, inst, seed)
+	prio := core.HashPriorities(core.InfoOf(inst), hashpr.Mixer{Seed: seed}, nil)
+
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func(wk int) {
+			defer wg.Done()
+			for off := wk * batch; off < len(inst.Elements); off += workers * batch {
+				els := inst.Elements[off:min(off+batch, len(inst.Elements))]
+				want := wire.AppendVerdictsHeader(nil, len(els))
+				for _, el := range els {
+					want = wire.AppendVerdictMask(want, el.Members, core.SelectTopPriority(el.Members, el.Capacity, prio, nil))
+				}
+				if wk%2 == 0 {
+					var resp IngestResponse
+					rec := do(t, s, "POST", "/v1/instances/"+id+"/elements", IngestRequest{Elements: wireElems(els)}, &resp)
+					if rec.Code != http.StatusOK || len(resp.Verdicts) != len(els) {
+						t.Errorf("json ingest: %d, %d verdicts for %d elements: %s", rec.Code, len(resp.Verdicts), len(els), rec.Body.String())
+						return
+					}
+					got := wire.AppendVerdictsHeader(nil, len(resp.Verdicts))
+					for i, v := range resp.Verdicts {
+						got = wire.AppendVerdictMask(got, els[i].Members, v.Admitted)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("json batch at %d: verdicts differ from the policy's decisions", off)
+						return
+					}
+				} else {
+					rec := doBinary(t, s, id, wire.AppendElements(nil, els))
+					if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+						t.Errorf("binary batch at %d: status %d, verdicts differ from the policy's decisions", off, rec.Code)
+						return
+					}
+				}
+			}
+		}(wk)
+	}
+	wg.Wait()
+
+	var dr DrainResponse
+	do(t, s, "POST", "/v1/instances/"+id+"/drain", nil, &dr)
+	oracle, err := core.Run(inst, &core.HashRandPr{Hasher: hashpr.Mixer{Seed: seed}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dr.Result.Core().Equal(oracle) {
+		t.Fatal("drained result differs from the serial oracle")
 	}
 }
 

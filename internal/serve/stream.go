@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
@@ -19,17 +20,16 @@ import (
 // wire batch frames (internal/stream envelopes), answered with verdict
 // frames in batch order. It exists to amortize what the HTTP arm pays
 // per request — connection bookkeeping, header parse, scratch checkout,
-// one blocking round trip per batch — over a whole element stream, and
-// to retire the HTTP arm's double decide: stream verdicts are built by
-// the engine shard during its one decide (engine.Batch.Done), not by a
-// second handler-side replica decide. Steady state allocates nothing
-// per element, and the default decode is zero-copy: a batch frame's
-// payload is read off the socket straight into an aligned per-slot
-// buffer and the engine's caps/members views alias those bytes in
-// place (wire.AliasBatch) — no per-element copy between wire and
-// shard. Frames that cannot be aliased (foreign byte order, or
-// Config.StreamCopyDecode) fall back to the copying decoder, pinned
-// byte-for-byte equivalent.
+// one blocking round trip per batch — over a whole element stream. Each
+// frame goes through the same ingest core as the HTTP arms (ingest.go),
+// so its verdicts are built by the engine shard during its one decide
+// (engine.Batch.Done). Steady state allocates nothing per element, and
+// the decode is zero-copy: a batch frame's payload is read off the
+// socket straight into an aligned per-slot buffer and the engine's
+// caps/members views alias those bytes in place (wire.AliasBatch) — no
+// per-element copy between wire and shard. Frames that cannot be
+// aliased (foreign byte order) fall back to the copying decoder the
+// binary HTTP arm uses, pinned byte-for-byte equivalent.
 //
 // Per-connection machinery, after the Hello/Ack handshake:
 //
@@ -57,7 +57,7 @@ import (
 //	           dead-peer terminal) carries seq = first-unanswered, so
 //	           it is held until every verdict below it is written.
 //
-// Each connection submits through its own Instance.IngestLane — a
+// Each connection submits through its own engine lane — a
 // private shard round-robin — so concurrent connections feeding one
 // instance contend on nothing but the shard queues themselves.
 //
@@ -84,12 +84,9 @@ type streamState struct {
 	wg        sync.WaitGroup // one per live connection handler
 }
 
-// streamConn is one accepted stream connection. idx is its global
-// accept ordinal, used to seed the connection's ingest lane so
-// simultaneous connections start their shard round-robins apart.
+// streamConn is one accepted stream connection.
 type streamConn struct {
 	fc       *stream.Conn
-	idx      int
 	draining atomic.Bool
 }
 
@@ -172,11 +169,11 @@ func (s *Server) handleStreamConn(nc net.Conn) {
 	st := &s.stream
 	defer st.wg.Done()
 	defer nc.Close()
-	ordinal := s.obs.stream.connsTotal.Add(1)
+	s.obs.stream.connsTotal.Add(1)
 	s.obs.stream.connsActive.Add(1)
 	defer s.obs.stream.connsActive.Add(-1)
 
-	sc := &streamConn{fc: stream.NewConn(nc, int(s.cfg.MaxBodyBytes)), idx: int(ordinal)}
+	sc := &streamConn{fc: stream.NewConn(nc, int(s.cfg.MaxBodyBytes))}
 	st.mu.Lock()
 	if st.conns == nil {
 		st.conns = make(map[*streamConn]struct{})
@@ -261,7 +258,7 @@ func (s *Server) serveStreamConn(sc *streamConn) {
 // streamReadLoop reads batch frames, lands each payload in its window
 // slot at an aliasable alignment, hands the engine caps/members views
 // over those bytes (zero-copy; the copying decoder when aliasing is
-// off or impossible) and submits on the connection's private lane with
+// impossible) and submits on the connection's private lane with
 // the verdict callback set; the engine shard completes the verdict
 // frame during its decide. The loop ends by handing the writer exactly
 // one terminal frame whose seq equals the number of batches submitted
@@ -269,10 +266,11 @@ func (s *Server) serveStreamConn(sc *streamConn) {
 func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFrame, slots []ingestSlot, freeTok chan struct{}, writerDone chan struct{}) {
 	fc := sc.fc
 	eng := in.eng
-	lane := in.IngestLane(sc.idx)
-	numSets := in.info.NumSets()
-	copyDecode := s.cfg.StreamCopyDecode
-	timings := s.cfg.StreamTimings
+	lane := in.newLane()
+	var decodeHist *obs.Histogram
+	if s.cfg.StreamTimings {
+		decodeHist = &s.obs.streamDecode
+	}
 	next := uint32(0) // seq of the next expected batch = batches submitted
 	terminate := func(typ byte, format string, args ...any) {
 		var msg []byte
@@ -316,7 +314,7 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 				return
 			}
 			var decodeStart time.Time
-			if timings {
+			if decodeHist != nil {
 				decodeStart = time.Now()
 			}
 			slot := &slots[int(seq)%len(slots)]
@@ -332,30 +330,25 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 				terminate(0, "")
 				return
 			}
-			// Enforce the batch cap from the frame header BEFORE decoding,
-			// for the same reason the HTTP arm does: the copying decode
-			// fills engine free-list buffers that live as long as the
-			// instance.
-			if c, ok := wire.PeekBatchCount(payload); ok && c > s.cfg.MaxBatch {
-				terminate(stream.FrameError, "ingest: batch of %d exceeds limit %d", c, s.cfg.MaxBatch)
-				return
-			}
-			var b *engine.Batch
-			if !copyDecode {
-				members, offs, caps, ok, aerr := wire.AliasBatch(payload, slot.offs[:0])
-				if aerr != nil {
-					terminate(stream.FrameError, "ingest: %v", aerr)
+			if c, ok := wire.PeekBatchCount(payload); ok {
+				if err := s.checkBatchLen(c); err != nil {
+					terminate(stream.FrameError, "%v", err)
 					return
 				}
-				if ok {
-					slot.offs = offs
-					b = slot.batch
-					b.Members, b.Offs, b.Caps, b.Aliased = members, offs, caps, true
-				}
 			}
-			if b == nil {
-				// Copying fallback: alias off, or the frame cannot be
-				// aliased on this platform.
+			// Fill: alias the frame in place; the copying decoder is the
+			// fallback for frames that cannot be aliased on this platform.
+			var b *engine.Batch
+			members, offs, caps, ok, aerr := wire.AliasBatch(payload, slot.offs[:0])
+			switch {
+			case aerr != nil:
+				terminate(stream.FrameError, "ingest: %v", aerr)
+				return
+			case ok:
+				slot.offs = offs
+				b = slot.batch
+				b.Members, b.Offs, b.Caps, b.Aliased = members, offs, caps, true
+			default:
 				b = eng.BorrowBatch()
 				b.Members, b.Offs, b.Caps, err = wire.DecodeBatch(payload, b.Members[:0], b.Offs[:0], b.Caps[:0])
 				if err != nil {
@@ -364,23 +357,11 @@ func (s *Server) streamReadLoop(sc *streamConn, in *Instance, resp chan respFram
 					return
 				}
 			}
-			// Atomicity, as both HTTP arms: the whole batch is validated
-			// against the instance's universe before any element is
-			// submitted. For aliased batches this is also where values
-			// past MaxInt32 — negative through the int32 view — are
+			// For aliased batches the core's validation is also where
+			// values past MaxInt32 — negative through the int32 view — are
 			// rejected, which is what lets AliasBatch skip that scan.
-			if err := b.Validate(numSets); err != nil {
-				eng.ReturnBatch(b)
-				terminate(stream.FrameError, "ingest: %v", err)
-				return
-			}
-			if timings {
-				s.obs.streamDecode.Observe(time.Since(decodeStart))
-			}
-			b.Seq = seq
-			b.Masks = wire.AppendVerdictsHeader(slot.masks[:0], b.Len())
-			b.Done = done
-			if err := lane.IngestBatch(b); err != nil {
+			b.Seq, b.Masks, b.Done = seq, slot.masks, done
+			if err := in.ingest(lane, b, decodeHist, decodeStart); err != nil {
 				// The engine detached the batch (Reset dropped the
 				// callback), so no verdict for this seq is coming: next
 				// still counts only submitted batches.

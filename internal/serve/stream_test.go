@@ -449,80 +449,66 @@ func TestStreamShutdownAnswersInFlight(t *testing.T) {
 }
 
 // TestStreamCopyDecodeMatchesZeroCopy is the decode-path equivalence
-// pin: the same frames sent to a default (zero-copy aliasing) server
-// and to one forced onto the copying decoder via Config.StreamCopyDecode
-// produce byte-for-byte identical verdict frames, and both drain to the
-// serial oracle's result. StreamTimings is exercised on the copying
-// server to cover the stamped variant of the read loop.
+// pin: the same frames sent over the stream, whose zero-copy decode
+// aliases them in place, and over binary HTTP, which runs the copying
+// decoder the stream falls back to for frames it cannot alias, produce
+// byte-for-byte identical verdict frames, and both instances drain to
+// the serial oracle's result. StreamTimings is on, covering the stamped
+// variant of the read loop.
 func TestStreamCopyDecodeMatchesZeroCopy(t *testing.T) {
 	const seed = 43
 	inst := uniformInst(t, 70, 4000, 6, 2)
-	zc := New(Config{})
-	defer zc.Shutdown(t.Context())
-	cp := New(Config{StreamCopyDecode: true, StreamTimings: true})
-	defer cp.Shutdown(t.Context())
-	zcAddr := startStreamListener(t, zc)
-	cpAddr := startStreamListener(t, cp)
-	zcID := register(t, zc, inst, seed)
-	cpID := register(t, cp, inst, seed)
-
-	zcStream := dialStream(t, zcAddr, zcID)
-	cpStream := dialStream(t, cpAddr, cpID)
-
-	readVerdicts := func(ts *testStream) []byte {
-		t.Helper()
-		typ, seq, payload, err := ts.fc.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != stream.FrameVerdicts || seq != ts.recvd {
-			t.Fatalf("got frame (%c, %d), want verdicts seq %d: %s", typ, seq, ts.recvd, payload)
-		}
-		ts.recvd++
-		return append([]byte(nil), payload...)
-	}
+	s := New(Config{StreamTimings: true})
+	defer s.Shutdown(t.Context())
+	addr := startStreamListener(t, s)
+	zcID := register(t, s, inst, seed)
+	cpID := register(t, s, inst, seed)
+	zcStream := dialStream(t, addr, zcID)
 
 	// Odd batch sizes hit every mask-padding alignment; 1-element batches
 	// hit the smallest aliasable frames.
 	sizes := []int{1, 2, 9, 64, 255, 501}
+	frames := 0
 	for off, k := 0, 0; off < len(inst.Elements); k++ {
 		end := min(off+sizes[k%len(sizes)], len(inst.Elements))
 		els := inst.Elements[off:end]
 		zcStream.send(els)
-		cpStream.send(els)
-		zcV := readVerdicts(zcStream)
-		cpV := readVerdicts(cpStream)
-		if !bytes.Equal(zcV, cpV) {
-			t.Fatalf("batch %d: zero-copy verdict frame differs from copy-decode frame (%d vs %d bytes)", k, len(zcV), len(cpV))
+		typ, seq, zcV, err := zcStream.fc.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if typ != stream.FrameVerdicts || seq != zcStream.recvd {
+			t.Fatalf("got frame (%c, %d), want verdicts seq %d: %s", typ, seq, zcStream.recvd, zcV)
+		}
+		zcStream.recvd++
+		rec := doBinary(t, s, cpID, wire.AppendElements(nil, els))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("binary ingest: status %d: %s", rec.Code, rec.Body.String())
+		}
+		if !bytes.Equal(zcV, rec.Body.Bytes()) {
+			t.Fatalf("batch %d: zero-copy verdict frame differs from copy-decode frame (%d vs %d bytes)", k, len(zcV), rec.Body.Len())
+		}
+		frames++
 		off = end
 	}
 	zcStream.fin()
-	cpStream.fin()
 
 	oracle, err := core.Run(inst, &core.HashRandPr{Hasher: hashpr.Mixer{Seed: seed}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sv := range []struct {
-		s  *Server
-		id string
-	}{{zc, zcID}, {cp, cpID}} {
+	for _, id := range []string{zcID, cpID} {
 		var dr DrainResponse
-		if rec := do(t, sv.s, "POST", "/v1/instances/"+sv.id+"/drain", nil, &dr); rec.Code != http.StatusOK {
+		if rec := do(t, s, "POST", "/v1/instances/"+id+"/drain", nil, &dr); rec.Code != http.StatusOK {
 			t.Fatalf("drain: status %d: %s", rec.Code, rec.Body.String())
 		}
 		if !dr.Result.Core().Equal(oracle) {
 			t.Fatal("drained result differs from serial oracle")
 		}
 	}
-	// The timings-enabled server populated the stream decode histogram;
-	// the default server skipped the stamps entirely.
-	if n := cp.obs.streamDecode.Snapshot().Count; n == 0 {
-		t.Error("StreamTimings server recorded no stream decode observations")
-	}
-	if n := zc.obs.streamDecode.Snapshot().Count; n != 0 {
-		t.Errorf("default server recorded %d stream decode observations, want 0 (timings off)", n)
+	// The timings-enabled server stamped every stream frame.
+	if n := s.obs.streamDecode.Snapshot().Count; n != uint64(frames) {
+		t.Errorf("StreamTimings server recorded %d stream decode observations, want %d", n, frames)
 	}
 }
 
@@ -575,6 +561,10 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 		pos++
 	})
 	perElement := allocs / batch
+	// Timings are off by default: the read loop stamped nothing.
+	if n := s.obs.streamDecode.Snapshot().Count; n != 0 {
+		t.Errorf("default server recorded %d stream decode observations, want 0 (timings off)", n)
+	}
 	t.Logf("warm stream round trip: %.1f allocs/batch over %d elements (%.4f/element)", allocs, batch, perElement)
 	if perElement > 0.05 {
 		t.Errorf("stream round trip allocates %.4f/element (%v per %d-element batch), want ~0",

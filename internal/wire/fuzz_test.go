@@ -96,3 +96,56 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeSnapshot drives the snapshot decoder — fed both from disk
+// (ospserve -snapshot-dir) and from POST /v1/instances restores — with
+// arbitrary bytes. It must never panic, and every frame it accepts must
+// satisfy the restore invariants it promises and re-encode to a frame
+// that decodes to the same snapshot.
+func FuzzDecodeSnapshot(f *testing.F) {
+	sample := sampleSnapshot()
+	raw := AppendSnapshot(nil, sample)
+	f.Add(raw)
+	sample.Final = true
+	f.Add(AppendSnapshot(nil, sample))
+	f.Add(AppendSnapshot(nil, &Snapshot{ID: "i-1"}))
+	f.Add(raw[:len(raw)-3])
+	bad := append([]byte(nil), raw...)
+	bad[4] = 9
+	f.Add(bad)
+	f.Add([]byte("OSPS"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		m := len(s.Weights)
+		if len(s.Sizes) != m || len(s.Assigned) != m {
+			t.Fatalf("array lengths %d/%d/%d differ", m, len(s.Sizes), len(s.Assigned))
+		}
+		if s.Submitted != s.Processed {
+			t.Fatalf("accepted an unquiesced snapshot: submitted %d, processed %d", s.Submitted, s.Processed)
+		}
+		if s.Shards < 0 || s.BatchSize < 0 || s.QueueDepth < 0 {
+			t.Fatalf("accepted negative engine sizing %d/%d/%d", s.Shards, s.BatchSize, s.QueueDepth)
+		}
+		for i := range s.Assigned {
+			if s.Assigned[i] < 0 || int(s.Assigned[i]) > s.Sizes[i] {
+				t.Fatalf("set %d: assigned %d outside [0, %d]", i, s.Assigned[i], s.Sizes[i])
+			}
+		}
+		enc := AppendSnapshot(nil, s)
+		if len(enc) != SnapshotLen(s) {
+			t.Fatalf("re-encoded %d bytes, SnapshotLen says %d", len(enc), SnapshotLen(s))
+		}
+		s2, err := DecodeSnapshot(enc)
+		if err != nil {
+			t.Fatalf("re-encoded frame rejected: %v", err)
+		}
+		if enc2 := AppendSnapshot(nil, s2); !bytes.Equal(enc, enc2) {
+			t.Fatal("decode∘encode is not a fixed point")
+		}
+	})
+}

@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,7 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/wire"
 	"repro/osp"
 )
 
@@ -42,27 +40,20 @@ import (
 type Codec int
 
 const (
-	// CodecAuto — the default — drives the compact binary codec and
-	// falls back to JSON transparently, per instance, when the server
-	// does not speak it (any server predating the binary ingest path).
-	CodecAuto Codec = iota
-	// CodecJSON forces the JSON wire shapes on every request.
+	// CodecBinary — the default — sends the compact binary codec:
+	// internal/wire's flat frames, answered with one verdict bitmask per
+	// element.
+	CodecBinary Codec = iota
+	// CodecJSON sends the JSON wire shapes on every request.
 	CodecJSON
-	// CodecBinary forces the binary codec; a server without it surfaces
-	// the resulting *APIError instead of falling back.
-	CodecBinary
 )
 
 // String returns the flag-friendly codec name.
 func (c Codec) String() string {
-	switch c {
-	case CodecJSON:
+	if c == CodecJSON {
 		return "json"
-	case CodecBinary:
-		return "binary"
-	default:
-		return "auto"
 	}
+	return "binary"
 }
 
 // Client talks to one admission server. Safe for concurrent use (the
@@ -86,11 +77,9 @@ func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
 
-// WithCodec pins the ingest wire codec. The default, CodecAuto, sends
-// binary batches (internal/wire's flat frames — the zero-allocation
-// server path, measured severalfold faster than JSON end to end) and
-// falls back to JSON once, per instance, if the server rejects the
-// binary content type.
+// WithCodec selects the HTTP ingest wire codec. The default,
+// CodecBinary, is the zero-allocation server path, measured severalfold
+// faster than JSON end to end.
 func WithCodec(codec Codec) Option {
 	return func(c *Client) { c.codec = codec }
 }
@@ -209,9 +198,6 @@ type Instance struct {
 	shards int
 	policy string
 
-	// negotiated is the per-instance CodecAuto outcome: 0 until the
-	// first ingest settles it, then codecBinary or codecJSON.
-	negotiated atomic.Int32
 	// streams counts this instance's open verdict streams (OpenStream);
 	// while positive, Codec reports "stream".
 	streams atomic.Int32
@@ -219,20 +205,13 @@ type Instance struct {
 	// transport is the per-instance IngestAuto outcome: 0 until the
 	// first call settles it, then transportStream or transportHTTP.
 	transport atomic.Int32
-	// tmu serializes IngestAuto/Close over the pinned stream, which is
-	// a single in-order connection.
+	// tmu serializes use of the pinned stream, which is a single
+	// in-order connection; HTTP ingest never takes it.
 	tmu sync.Mutex
 	// pinned is the long-lived verdict stream IngestAuto opened, nil
 	// when none is open (guarded by tmu).
 	pinned *Stream
 }
-
-// Codec negotiation outcomes.
-const (
-	codecUnresolved int32 = iota
-	codecBinary
-	codecJSON
-)
 
 // wire shapes (mirroring internal/serve; the contract is the JSON).
 type wireElement struct {
@@ -434,33 +413,41 @@ func (in *Instance) Shards() int { return in.shards }
 // engine ("randpr" when the registration left it empty).
 func (in *Instance) Policy() string { return in.policy }
 
-// Ingest streams one batch of elements in arrival order and returns the
-// immediate admit/drop verdict for each. Batches are atomic: on any
-// invalid element the whole batch is rejected (an *APIError with status
-// 400) and nothing is ingested. When the server-side shard queues are
-// full the call blocks — backpressure propagates to the producer, which
-// is the paper's admission deadline made tangible.
-//
-// The wire representation follows the client's codec (WithCodec). Under
-// the default CodecAuto the first batch goes out binary; a server that
-// rejects the binary content type (any server predating it answers 400)
-// gets the same batch retried as JSON, and the instance sticks with
-// JSON from then on. Either way the verdicts and the eventual drained
-// result are bit-for-bit identical — the serve-side decode paths share
-// one policy state.
+// Ingest streams one batch of elements in arrival order over HTTP and
+// returns the immediate admit/drop verdict for each. Batches are atomic:
+// on any invalid element the whole batch is rejected (an *APIError with
+// status 400) and nothing is ingested. When the server-side shard queues
+// are full the call blocks — backpressure propagates to the producer,
+// which is the paper's admission deadline made tangible. The wire
+// representation follows the client's codec (WithCodec); the verdicts
+// and the eventual drained result are bit-for-bit identical either way.
 //
 // With WithRetry configured, transient failures (transport errors, 429,
 // 5xx) are retried under the policy's backoff and budget; permanent 4xx
 // rejections are returned immediately.
 func (in *Instance) Ingest(ctx context.Context, els []osp.Element) ([]Verdict, error) {
-	if in.c.retry == nil {
-		return in.ingestOnce(ctx, els)
+	total := 0
+	for _, el := range els {
+		total += len(el.Members)
 	}
-	var verdicts []Verdict
-	err := in.c.withRetry(ctx, func(ctx context.Context) error {
-		v, err := in.ingestOnce(ctx, els)
-		verdicts = v
-		return err
+	admitted := make([]osp.SetID, 0, total)
+	dropped := make([]osp.SetID, 0, total)
+	verdicts := make([]Verdict, len(els))
+	err := in.ingest(ctx, els, false, func(i int, adm []osp.SetID) {
+		// Both lists are ascending: one merge pass splits the members.
+		a, d, j := len(admitted), len(dropped), 0
+		for _, s := range els[i].Members {
+			if j < len(adm) && adm[j] == s {
+				admitted = append(admitted, s)
+				j++
+			} else {
+				dropped = append(dropped, s)
+			}
+		}
+		verdicts[i] = Verdict{
+			Admitted: admitted[a:len(admitted):len(admitted)],
+			Dropped:  dropped[d:len(dropped):len(dropped)],
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -468,157 +455,15 @@ func (in *Instance) Ingest(ctx context.Context, els []osp.Element) ([]Verdict, e
 	return verdicts, nil
 }
 
-// ingestOnce is one ingest attempt: codec negotiation included, retry
-// policy excluded.
-func (in *Instance) ingestOnce(ctx context.Context, els []osp.Element) ([]Verdict, error) {
-	codec := in.c.codec
-	if codec == CodecJSON || (codec == CodecAuto && in.negotiated.Load() == codecJSON) {
-		return in.ingestJSON(ctx, els)
-	}
-	verdicts, err := in.ingestBinary(ctx, els)
-	switch {
-	case err == nil:
-		in.negotiated.CompareAndSwap(codecUnresolved, codecBinary)
-		return verdicts, nil
-	case codec == CodecAuto && in.negotiated.Load() == codecUnresolved && isCodecRejection(err):
-		// The server may simply not speak the binary codec — or the
-		// batch may be genuinely invalid. The JSON retry distinguishes
-		// the two: success pins the fallback, failure is authoritative.
-		verdicts, jerr := in.ingestJSON(ctx, els)
-		if jerr != nil {
-			return nil, jerr
-		}
-		in.negotiated.Store(codecJSON)
-		return verdicts, nil
-	default:
-		return nil, err
-	}
-}
-
-// isCodecRejection reports whether an ingest error could mean "this
-// server does not speak the binary codec" rather than "this batch is
-// bad": a JSON-only server answers a binary frame with 400 (its JSON
-// decoder chokes) and a strict intermediary may answer 415.
-func isCodecRejection(err error) bool {
-	var apiErr *APIError
-	return errors.As(err, &apiErr) &&
-		(apiErr.StatusCode == http.StatusBadRequest || apiErr.StatusCode == http.StatusUnsupportedMediaType)
-}
-
 // Codec reports the wire transport this instance currently ingests
-// over: "stream" while a verdict stream is open (OpenStream), else
-// "json" or "binary" once pinned (by WithCodec or by CodecAuto's first
-// ingest), "auto" before the first ingest settles it — so a benchmark
-// or loadgen report can prove which arm it actually exercised.
+// over: "stream" while a verdict stream is open (OpenStream), else the
+// client's HTTP codec, "binary" or "json" — so a benchmark or loadgen
+// report can prove which arm it actually exercised.
 func (in *Instance) Codec() string {
-	switch {
-	case in.streams.Load() > 0:
+	if in.streams.Load() > 0 {
 		return "stream"
-	case in.c.codec != CodecAuto:
-		return in.c.codec.String()
-	case in.negotiated.Load() == codecBinary:
-		return "binary"
-	case in.negotiated.Load() == codecJSON:
-		return "json"
-	default:
-		return "auto"
 	}
-}
-
-// ingestJSON is the JSON arm of Ingest — the wire shapes every server
-// speaks.
-func (in *Instance) ingestJSON(ctx context.Context, els []osp.Element) ([]Verdict, error) {
-	req := ingestRequest{Elements: make([]wireElement, len(els))}
-	for i, el := range els {
-		req.Elements[i] = wireElement{Members: el.Members, Capacity: el.Capacity}
-	}
-	var resp ingestResponse
-	if err := in.c.doJSON(ctx, "POST", "/v1/instances/"+in.id+"/elements", req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Verdicts, nil
-}
-
-// framePool recycles binary request/response buffers across Ingest
-// calls (client-side; the server pools its own).
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// ingestBinary is the binary arm of Ingest: the batch goes out as one
-// flat wire frame, the reply comes back as one bitmask per element over
-// the members this client just sent.
-func (in *Instance) ingestBinary(ctx context.Context, els []osp.Element) ([]Verdict, error) {
-	bufp := framePool.Get().(*[]byte)
-	defer framePool.Put(bufp)
-	frame := wire.AppendElements((*bufp)[:0], els)
-	*bufp = frame
-
-	req, err := http.NewRequestWithContext(ctx, "POST", in.c.base+"/v1/instances/"+in.id+"/elements", bytes.NewReader(frame))
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeBatch)
-	resp, err := in.c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: POST elements (binary): %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return nil, apiError(resp)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeVerdicts {
-		return nil, fmt.Errorf("client: binary ingest answered with Content-Type %q, want %q", ct, wire.ContentTypeVerdicts)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("client: read verdicts frame: %w", err)
-	}
-	return decodeVerdictFrame(raw, els)
-}
-
-// decodeVerdictFrame unpacks a verdicts frame into the same []Verdict
-// the JSON path returns, batching the backing storage: two arrays for
-// the whole batch instead of two slices per element.
-func decodeVerdictFrame(raw []byte, els []osp.Element) ([]Verdict, error) {
-	payload, count, err := wire.DecodeVerdicts(raw)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	if count != len(els) {
-		return nil, fmt.Errorf("client: verdicts frame counts %d elements, batch sent %d", count, len(els))
-	}
-	totalMembers := 0
-	for _, el := range els {
-		totalMembers += len(el.Members)
-	}
-	admitted := make([]osp.SetID, 0, totalMembers)
-	dropped := make([]osp.SetID, 0, totalMembers)
-	verdicts := make([]Verdict, len(els))
-	for i, el := range els {
-		var mask []byte
-		mask, payload, err = wire.MaskAt(payload, len(el.Members))
-		if err != nil {
-			return nil, fmt.Errorf("client: element %d: %w", i, err)
-		}
-		aStart, dStart := len(admitted), len(dropped)
-		for j, s := range el.Members {
-			if wire.MaskBit(mask, j) {
-				admitted = append(admitted, s)
-			} else {
-				dropped = append(dropped, s)
-			}
-		}
-		verdicts[i] = Verdict{
-			Admitted: admitted[aStart:len(admitted):len(admitted)],
-			Dropped:  dropped[dStart:len(dropped):len(dropped)],
-		}
-	}
-	if len(payload) != 0 {
-		// A length mismatch here means the server's mask boundaries do
-		// not line up with the elements we sent (version skew, proxy
-		// mangling) — the verdicts above would be misaligned garbage.
-		return nil, fmt.Errorf("client: %d verdict mask bytes left over after the last element", len(payload))
-	}
-	return verdicts, nil
+	return in.c.codec.String()
 }
 
 // Drain closes the stream and returns the final Result — bit-for-bit

@@ -118,8 +118,7 @@ func TestRetryPermanent4xxNotRetried(t *testing.T) {
 	}))
 	t.Cleanup(hs.Close)
 	t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
-	// CodecJSON: one HTTP request per attempt (CodecAuto's binary→JSON
-	// probe would legitimately double the first attempt's request count).
+	// CodecJSON: the JSON arm's 400 must not be retried either.
 	c, err := client.New(hs.URL, client.WithCodec(client.CodecJSON),
 		client.WithRetry(client.RetryPolicy{MaxAttempts: 6, BaseBackoff: 5 * time.Millisecond}))
 	if err != nil {

@@ -1,14 +1,12 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,7 +23,7 @@ import (
 // against the elements the caller sent: the per-element callback
 // receives a reused admitted slice, so a steady-state Send/Recv loop
 // allocates nothing per element — the []Verdict materialization of
-// Ingest, today's dominant client-side allocation, never happens.
+// Ingest never happens.
 
 // ErrWindowFull is returned by Stream.Send when the pipelining window
 // is exhausted: Recv must consume a verdict frame before another batch
@@ -85,6 +83,7 @@ type Stream struct {
 	finSent  bool
 	finsRecv int         // server fin confirmations collected after CloseSend
 	connEls  []uint64    // elements sent per connection
+	frame    []byte      // reused batch frame encode buffer
 	admitted []osp.SetID // reused callback scratch
 	err      error       // sticky terminal error
 	closed   atomic.Bool
@@ -215,20 +214,17 @@ func (s *Stream) Send(els []osp.Element) error {
 	case s.count == s.window:
 		return ErrWindowFull
 	}
-	bufp := framePool.Get().(*[]byte)
-	frame := wire.AppendElements((*bufp)[:0], els)
-	*bufp = frame
+	s.frame = wire.AppendElements(s.frame[:0], els)
 	// Batch k rides connection k mod N with that connection's own
 	// sequence numbering (k div N): each stripe is a self-contained
 	// stream to the server.
 	n := uint32(len(s.conns))
 	ci := int(s.sendSeq % n)
 	fc := s.conns[ci]
-	err := fc.WriteFrame(stream.FrameBatch, s.sendSeq/n, frame)
+	err := fc.WriteFrame(stream.FrameBatch, s.sendSeq/n, s.frame)
 	if err == nil {
 		err = fc.Flush()
 	}
-	framePool.Put(bufp)
 	if err != nil {
 		s.err = fmt.Errorf("client: stream send: %w", err)
 		return s.err
@@ -295,7 +291,7 @@ func (s *Stream) Recv(fn func(i int, admitted []osp.SetID)) error {
 		s.head = (s.head + 1) % s.window
 		s.count--
 		s.recvSeq++
-		if err := s.decodeVerdicts(payload, els, fn); err != nil {
+		if err := decodeVerdicts(payload, els, &s.admitted, fn); err != nil {
 			s.err = err
 			return s.err
 		}
@@ -314,35 +310,6 @@ func (s *Stream) Recv(fn func(i int, admitted []osp.SetID)) error {
 		s.err = fmt.Errorf("client: unexpected stream frame %c", typ)
 		return s.err
 	}
-}
-
-// decodeVerdicts walks one verdicts frame in place against the batch
-// it answers, reusing the stream's admitted scratch.
-func (s *Stream) decodeVerdicts(raw []byte, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	payload, count, err := wire.DecodeVerdicts(raw)
-	if err != nil {
-		return fmt.Errorf("client: %w", err)
-	}
-	if count != len(els) {
-		return fmt.Errorf("client: verdicts frame counts %d elements, batch sent %d", count, len(els))
-	}
-	for i, el := range els {
-		var mask []byte
-		mask, payload, err = wire.MaskAt(payload, len(el.Members))
-		if err != nil {
-			return fmt.Errorf("client: element %d: %w", i, err)
-		}
-		admitted, err := wire.AppendAdmitted(s.admitted[:0], mask, el.Members)
-		if err != nil {
-			return fmt.Errorf("client: element %d: %w", i, err)
-		}
-		s.admitted = admitted
-		fn(i, admitted)
-	}
-	if len(payload) != 0 {
-		return fmt.Errorf("client: %d verdict mask bytes left over after the last element", len(payload))
-	}
-	return nil
 }
 
 // CloseSend half-closes the stream: no more batches will be sent. The
@@ -388,150 +355,4 @@ func (s *Stream) Close() error {
 		return first
 	}
 	return nil
-}
-
-// funcScratch is the pooled working set of the HTTP IngestFunc path.
-type funcScratch struct {
-	frame    []byte
-	resp     []byte
-	admitted []osp.SetID
-}
-
-var funcPool = sync.Pool{New: func() any { return new(funcScratch) }}
-
-// IngestFunc streams one batch like Ingest but delivers verdicts
-// through a callback instead of materializing []Verdict — fn runs once
-// per element, in batch order, with the parent sets the element was
-// admitted to. The admitted slice is reused scratch, valid only during
-// the callback. Over the binary codec the whole round trip reuses
-// pooled buffers; under CodecAuto the same one-time JSON fallback as
-// Ingest applies.
-//
-// With WithRetry configured, attempts buffer their callbacks and fn
-// fires only after an attempt succeeds — each element exactly once, in
-// batch order, no matter how many retries the batch rode through.
-func (in *Instance) IngestFunc(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	if in.c.retry == nil {
-		return in.ingestFuncOnce(ctx, els, fn)
-	}
-	buf := verdictBufPool.Get().(*verdictBuf)
-	defer verdictBufPool.Put(buf)
-	err := in.c.withRetry(ctx, func(ctx context.Context) error {
-		buf.reset()
-		return in.ingestFuncOnce(ctx, els, buf.collect)
-	})
-	if err != nil {
-		return err
-	}
-	buf.flush(fn)
-	return nil
-}
-
-// ingestFuncOnce is one callback-shaped ingest attempt: codec
-// negotiation included, retry policy excluded.
-func (in *Instance) ingestFuncOnce(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	codec := in.c.codec
-	if codec == CodecJSON || (codec == CodecAuto && in.negotiated.Load() == codecJSON) {
-		return in.ingestFuncJSON(ctx, els, fn)
-	}
-	err := in.ingestFuncBinary(ctx, els, fn)
-	switch {
-	case err == nil:
-		in.negotiated.CompareAndSwap(codecUnresolved, codecBinary)
-		return nil
-	case codec == CodecAuto && in.negotiated.Load() == codecUnresolved && isCodecRejection(err):
-		if jerr := in.ingestFuncJSON(ctx, els, fn); jerr != nil {
-			return jerr
-		}
-		in.negotiated.Store(codecJSON)
-		return nil
-	default:
-		return err
-	}
-}
-
-// ingestFuncJSON adapts the JSON arm to the callback shape.
-func (in *Instance) ingestFuncJSON(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	verdicts, err := in.ingestJSON(ctx, els)
-	if err != nil {
-		return err
-	}
-	if len(verdicts) != len(els) {
-		return fmt.Errorf("client: %d verdicts for %d elements", len(verdicts), len(els))
-	}
-	for i, v := range verdicts {
-		fn(i, v.Admitted)
-	}
-	return nil
-}
-
-// ingestFuncBinary is the pooled binary arm: request frame, response
-// frame and the per-element admitted scratch all come from one pooled
-// working set, so nothing is allocated per element.
-func (in *Instance) ingestFuncBinary(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	sc := funcPool.Get().(*funcScratch)
-	defer funcPool.Put(sc)
-	sc.frame = wire.AppendElements(sc.frame[:0], els)
-
-	req, err := http.NewRequestWithContext(ctx, "POST", in.c.base+"/v1/instances/"+in.id+"/elements", bytes.NewReader(sc.frame))
-	if err != nil {
-		return fmt.Errorf("client: %w", err)
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeBatch)
-	resp, err := in.c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: POST elements (binary): %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return apiError(resp)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeVerdicts {
-		return fmt.Errorf("client: binary ingest answered with Content-Type %q, want %q", ct, wire.ContentTypeVerdicts)
-	}
-	sc.resp, err = readInto(resp.Body, sc.resp[:0])
-	if err != nil {
-		return fmt.Errorf("client: read verdicts frame: %w", err)
-	}
-	payload, count, err := wire.DecodeVerdicts(sc.resp)
-	if err != nil {
-		return fmt.Errorf("client: %w", err)
-	}
-	if count != len(els) {
-		return fmt.Errorf("client: verdicts frame counts %d elements, batch sent %d", count, len(els))
-	}
-	for i, el := range els {
-		var mask []byte
-		mask, payload, err = wire.MaskAt(payload, len(el.Members))
-		if err != nil {
-			return fmt.Errorf("client: element %d: %w", i, err)
-		}
-		admitted, err := wire.AppendAdmitted(sc.admitted[:0], mask, el.Members)
-		if err != nil {
-			return fmt.Errorf("client: element %d: %w", i, err)
-		}
-		sc.admitted = admitted
-		fn(i, admitted)
-	}
-	if len(payload) != 0 {
-		return fmt.Errorf("client: %d verdict mask bytes left over after the last element", len(payload))
-	}
-	return nil
-}
-
-// readInto reads r to EOF appending onto buf, reusing its storage.
-func readInto(r io.Reader, buf []byte) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
 }

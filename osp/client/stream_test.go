@@ -311,14 +311,14 @@ func TestStreamOpenErrors(t *testing.T) {
 	}
 }
 
-// TestIngestFuncMatchesIngest checks the callback ingest arm against
-// the materializing one on twin instances, over both the binary and
-// the pinned-JSON codec.
-func TestIngestFuncMatchesIngest(t *testing.T) {
+// TestIngestAutoMatchesIngest checks the callback ingest arm against
+// the materializing one on twin instances, over HTTP (no stream address)
+// in both codecs.
+func TestIngestAutoMatchesIngest(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		codec client.Codec
-	}{{"auto", client.CodecAuto}, {"json", client.CodecJSON}} {
+	}{{"binary", client.CodecBinary}, {"json", client.CodecJSON}} {
 		t.Run(tc.name, func(t *testing.T) {
 			codec := tc.codec
 			ctx := context.Background()
@@ -336,13 +336,13 @@ func TestIngestFuncMatchesIngest(t *testing.T) {
 					t.Fatal(err)
 				}
 				calls := 0
-				err = funcH.IngestFunc(ctx, els, func(i int, admitted []osp.SetID) {
+				err = funcH.IngestAuto(ctx, els, func(i int, admitted []osp.SetID) {
 					if i != calls {
 						t.Fatalf("callback order: got element %d, want %d", i, calls)
 					}
 					calls++
 					if fmt.Sprint(admitted) != fmt.Sprint(want[i].Admitted) {
-						t.Fatalf("element %d: IngestFunc admitted %v, Ingest %v", off+i, admitted, want[i].Admitted)
+						t.Fatalf("element %d: IngestAuto admitted %v, Ingest %v", off+i, admitted, want[i].Admitted)
 					}
 				})
 				if err != nil {
@@ -351,6 +351,9 @@ func TestIngestFuncMatchesIngest(t *testing.T) {
 				if calls != len(els) {
 					t.Fatalf("callback ran %d times for %d elements", calls, len(els))
 				}
+			}
+			if got := funcH.Transport(); got != "http" {
+				t.Fatalf("transport without a stream address = %q, want http", got)
 			}
 
 			serial, err := osp.Run(inst, osp.NewHashRandPr(seed), nil)

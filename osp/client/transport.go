@@ -12,12 +12,11 @@ import (
 // Transport negotiation: IngestAuto prefers the pipelined stream
 // transport (one long-lived TCP connection to the server's
 // -stream-listen port) and falls back to binary HTTP — once, pinned per
-// instance — when the target node has no stream listener. This is the
-// transport-level mirror of CodecAuto's JSON fallback: a fleet
-// coordinator can point the same client code at a mixed fleet where
-// some nodes expose the stream port and some predate it, and every node
-// settles onto the fastest transport it actually speaks after at most
-// one failed dial.
+// instance — when the target node has no stream listener, as an
+// ospserve started without -stream-listen. A fleet coordinator can
+// point the same client code at a mixed fleet, and every node settles
+// onto the fastest transport it actually serves after at most one
+// failed dial.
 
 // Transport pinning outcomes for IngestAuto, reported by Transport.
 const (
@@ -26,26 +25,25 @@ const (
 	transportHTTP
 )
 
-// IngestAuto streams one batch like IngestFunc but negotiates the
-// transport as well as the codec: when the client has a stream address
-// (WithStreamAddr), the first call dials it and pins a long-lived
-// verdict stream for this instance; if the dial or handshake fails —
-// the node has no stream listener, or something else answers the port —
-// the batch is retried over binary HTTP exactly once and the instance
-// stays pinned to HTTP, never re-dialing per batch. A server that
-// speaks the stream protocol but *refuses* the instance (an Error
-// frame, surfaced as *APIError) is authoritative: no fallback, the
-// error is returned. The HTTP arm inherits CodecAuto's per-instance
-// JSON fallback unchanged.
+// IngestAuto streams one batch like Ingest but delivers verdicts by
+// callback and negotiates the transport: when the client has a stream
+// address (WithStreamAddr), the first call dials it and pins a
+// long-lived verdict stream for this instance; if the dial or handshake
+// fails — the node has no stream listener, or something else answers
+// the port — the batch goes over HTTP instead and the instance stays
+// pinned to HTTP, never re-dialing per batch. A server that speaks the
+// stream protocol but *refuses* the instance (an Error frame, surfaced
+// as *APIError) is authoritative: no fallback, the error is returned.
+// Without a stream address every call is one HTTP request in the
+// client's codec.
 //
 // fn (nil allowed: verdicts are discarded) runs once per element, in
 // batch order, with the parent sets the element was admitted to; the
-// admitted slice is reused scratch, valid
-// only during the callback. IngestAuto serializes concurrent callers on
-// the instance's transport mutex (the pinned stream is a single
-// in-order connection); after a terminal stream error the connection is
-// closed and the next call re-dials. Call Close when done to release a
-// pinned stream gracefully.
+// admitted slice is reused scratch, valid only during the callback.
+// Concurrent callers serialize on the pinned stream, which is a single
+// in-order connection; HTTP calls run concurrently. After a terminal
+// stream error the connection is closed and the next call re-dials.
+// Call Close when done to release a pinned stream gracefully.
 //
 // With WithRetry configured, a terminal stream error drops the pinned
 // connection and the retry re-dials it — the reconnect path a node
@@ -56,55 +54,42 @@ func (in *Instance) IngestAuto(ctx context.Context, els []osp.Element, fn func(i
 	if fn == nil {
 		fn = func(int, []osp.SetID) {} // verdicts wanted for their side effect only
 	}
-	in.tmu.Lock()
-	defer in.tmu.Unlock()
-	if in.c.retry == nil {
-		return in.ingestAutoOnce(ctx, els, fn)
-	}
-	buf := verdictBufPool.Get().(*verdictBuf)
-	defer verdictBufPool.Put(buf)
-	err := in.c.withRetry(ctx, func(ctx context.Context) error {
-		buf.reset()
-		return in.ingestAutoOnce(ctx, els, buf.collect)
-	})
-	if err != nil {
-		return err
-	}
-	buf.flush(fn)
-	return nil
+	return in.ingest(ctx, els, true, fn)
 }
 
-// ingestAutoOnce is one transport-negotiated attempt; the caller holds
-// tmu.
-func (in *Instance) ingestAutoOnce(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) error {
-	if in.transport.Load() == transportHTTP || in.c.streamAddr == "" {
-		in.transport.Store(transportHTTP)
-		return in.ingestFuncOnce(ctx, els, fn)
-	}
+// ingestStream is one attempt over the pinned stream, dialing it on
+// first use. It reports sent == false when the node turned out not to
+// speak the stream protocol: the instance is then pinned to HTTP and the
+// caller sends the batch there.
+func (in *Instance) ingestStream(ctx context.Context, els []osp.Element, fn func(i int, admitted []osp.SetID)) (sent bool, err error) {
+	in.tmu.Lock()
+	defer in.tmu.Unlock()
 	if in.pinned == nil {
+		if in.transport.Load() == transportHTTP {
+			return false, nil // another caller fell back while this one waited
+		}
 		st, err := in.OpenStream(ctx)
 		if err != nil {
 			var apiErr *APIError
 			if in.transport.Load() == transportUnresolved && !errors.As(err, &apiErr) {
 				// The node does not speak the stream protocol on that
-				// address (no listener, or a different service). Fall back
-				// to binary HTTP and stay pinned: one failed dial per
-				// instance, not one per batch.
+				// address (no listener, or a different service): one
+				// failed dial per instance, not one per batch.
 				in.transport.Store(transportHTTP)
-				return in.ingestFuncOnce(ctx, els, fn)
+				return false, nil
 			}
-			return err
+			return true, err
 		}
 		in.pinned = st
 		in.transport.Store(transportStream)
 	}
 	if err := in.pinned.Send(els); err != nil {
-		return in.dropPinned(err)
+		return true, in.dropPinned(err)
 	}
 	if err := in.pinned.Recv(fn); err != nil {
-		return in.dropPinned(err)
+		return true, in.dropPinned(err)
 	}
-	return nil
+	return true, nil
 }
 
 // dropPinned tears down the pinned stream after a terminal error; the

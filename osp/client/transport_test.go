@@ -13,11 +13,10 @@ import (
 	"repro/osp/client"
 )
 
-// These tests pin the IngestAuto transport-negotiation contract the way
-// the PR 5 codec tests pin CodecAuto: a node without a stream listener
-// costs exactly one failed dial, the instance falls back to binary HTTP
-// and stays pinned there, and both arms produce verdicts bit-for-bit
-// equal to the serial oracle.
+// These tests pin the IngestAuto transport-negotiation contract: a node
+// without a stream listener costs exactly one failed dial, the instance
+// falls back to binary HTTP and stays pinned there, and both arms
+// produce verdicts bit-for-bit equal to the serial oracle.
 
 // countingProxy listens on its own port and forwards accepted
 // connections to dst, counting accepts — a stand-in for "the node's
@@ -290,8 +289,7 @@ func TestIngestAutoNoStreamAddr(t *testing.T) {
 // TestIngestAutoServerRefusalIsAuthoritative: a server that SPEAKS the
 // stream protocol but refuses the instance (Error frame → *APIError)
 // must surface the error — falling back to HTTP would mask a real
-// registration problem, exactly like CodecAuto treats a JSON-retry
-// failure as authoritative.
+// registration problem.
 func TestIngestAutoServerRefusalIsAuthoritative(t *testing.T) {
 	ctx := context.Background()
 	c, _ := startStreamServer(t)
